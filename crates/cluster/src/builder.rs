@@ -295,22 +295,23 @@ impl Cluster {
                 .collect(),
         }];
         let returned = run_sharded(&mut self.eng, horizon, lookahead, plan, replicas);
-        // Fold every replica's traffic counters back into the main
-        // fabric so `fabric_stats` reports the whole run.
-        let mut total = fgmon_net::FabricStats::default();
-        for set in &returned {
-            for r in &set.replicas {
-                let f = (r.as_ref() as &dyn Any)
+        // The fabric is the only replicated actor; its replicas come back
+        // indexed by shard.
+        let replicas: Vec<&Fabric> = returned[0]
+            .replicas
+            .iter()
+            .map(|r| {
+                (r.as_ref() as &dyn Any)
                     .downcast_ref::<Fabric>()
-                    .expect("fabric replica");
-                total.absorb(&f.stats);
-            }
-        }
+                    .expect("fabric replica")
+            })
+            .collect();
+        let shard_of = &plan.shard_of;
+        let nodes = &self.nodes;
         self.eng
             .actor_mut::<Fabric>(self.fabric)
             .expect("fabric actor")
-            .stats
-            .absorb(&total);
+            .merge_shards(&replicas, |n| shard_of[nodes[n].index()] as usize);
         if self.eng.queue_len() > 0 {
             RunOutcome::HorizonReached
         } else {

@@ -177,6 +177,27 @@ fn fate_u(seed: u64, now: SimTime, seq: u64, idx: u32) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Per-node slots gathered from the replica of each node's owning
+/// shard. A slot the owner never grew into is still untouched, so any
+/// replica that has it holds the fresh default.
+fn owned_slots<T: Clone>(
+    replicas: &[&Fabric],
+    slots: impl Fn(&Fabric) -> &Vec<T>,
+    owner: impl Fn(usize) -> usize,
+) -> Vec<T> {
+    let Some(longest) = replicas.iter().map(|r| slots(r)).max_by_key(|v| v.len()) else {
+        return Vec::new();
+    };
+    (0..longest.len())
+        .map(|n| {
+            slots(replicas[owner(n)])
+                .get(n)
+                .unwrap_or(&longest[n])
+                .clone()
+        })
+        .collect()
+}
+
 impl Fabric {
     pub fn new(cfg: NetConfig, node_actors: Vec<ActorId>) -> Self {
         Fabric {
@@ -229,6 +250,20 @@ impl Fabric {
                 stats: FabricStats::default(),
             })
             .collect()
+    }
+
+    /// Fold a parallel segment's shard replicas back into this fabric.
+    /// Traffic counters add up. Each node's QoS slot is copied from the
+    /// replica of `owner(node index)`, the shard that owns the node: its
+    /// token bucket is only touched there (posts) and so is its QP-cache
+    /// pressure (completions), so that replica alone holds the slot's
+    /// sequential state, which the next segment must start from.
+    pub fn merge_shards(&mut self, replicas: &[&Fabric], owner: impl Fn(usize) -> usize) {
+        for r in replicas {
+            self.stats.absorb(&r.stats);
+        }
+        self.limiters = owned_slots(replicas, |f| &f.limiters, &owner);
+        self.pressure = owned_slots(replicas, |f| &f.pressure, &owner);
     }
 
     /// Static lower bound on every fabric→node delivery latency: all

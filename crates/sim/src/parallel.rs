@@ -40,8 +40,11 @@
 //!    always either raise its watermark or process its head event.
 //!
 //! The caller supplies per-shard replicas of actors that logically exist
-//! on every shard (the fabric: pure routing + additive counters) and
-//! merges their state afterwards; see `ShardPlan::REPLICATED`.
+//! on every shard and merges their state afterwards; see
+//! `ShardPlan::REPLICATED`. For the fabric that means routing tables,
+//! additive counters, and per-node slots (rate-limit buckets, QP-cache
+//! pressure) that only the node's own shard touches, so the merge must
+//! copy each slot back from that shard's replica rather than add.
 //!
 //! ## Execution modes
 //!

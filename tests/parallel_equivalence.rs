@@ -159,12 +159,21 @@ fn big_cluster_with_batched_doorbells_is_bitwise_identical() {
 
 #[test]
 fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
+    use fgmon_cluster::scenarios::NOISY_RATE_LIMIT;
     use fgmon_types::QosPolicy;
     type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
-    let fingerprint = |seed: u64, threads: usize| -> Fp {
-        let mut w =
-            fgmon_cluster::noisy_neighbor_raced(QosPolicy::None, true, seed, RaceMode::Strict);
-        run(&mut w.cluster, SimDuration::from_secs(1), threads);
+    // One virtual second, run in `segments` equal `run_parallel` calls:
+    // per-node QoS state (token buckets, QP-cache pressure) must carry
+    // over from one segment's shard replicas to the next.
+    let fingerprint = |qos: QosPolicy, segments: u64, seed: u64, threads: usize| -> Fp {
+        let mut w = fgmon_cluster::noisy_neighbor_raced(qos, true, seed, RaceMode::Strict);
+        for _ in 0..segments {
+            run(
+                &mut w.cluster,
+                SimDuration::from_millis(1_000 / segments),
+                threads,
+            );
+        }
         (
             w.cluster.fabric_stats(),
             w.cluster.race_report(),
@@ -173,17 +182,20 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
         )
     };
     for seed in SEEDS {
-        let sequential = fingerprint(seed, 1);
-        assert!(
-            sequential.0.tenants[1].thrashed > 0,
-            "the hostile tenant must thrash the shared NIC (seed {seed})"
-        );
-        for threads in THREADS {
-            let parallel = fingerprint(seed, threads);
-            assert_eq!(
-                sequential, parallel,
-                "noisy-neighbor run diverged (seed {seed}, threads {threads})"
+        for (qos, segments) in [(QosPolicy::None, 1), (NOISY_RATE_LIMIT, 4)] {
+            let sequential = fingerprint(qos, 1, seed, 1);
+            let hostile = &sequential.0.tenants[1];
+            assert!(
+                hostile.thrashed + hostile.rate_limited > 0,
+                "the hostile tenant must thrash or be rate-limited (seed {seed}, {qos:?})"
             );
+            for threads in THREADS {
+                let parallel = fingerprint(qos, segments, seed, threads);
+                assert_eq!(
+                    sequential, parallel,
+                    "noisy-neighbor run diverged (seed {seed}, {qos:?}, {segments} segments, threads {threads})"
+                );
+            }
         }
     }
 }
