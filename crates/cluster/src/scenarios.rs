@@ -3,13 +3,12 @@
 //! describes; the bench harnesses sweep their parameters.
 
 use fgmon_balancer::{Dispatcher, DispatcherConfig, Policy, ReconfigPolicy, Reconfigurator};
-use fgmon_core::backend::{RdmaAsyncBackend, RdmaSyncBackend, SocketBackend};
-use fgmon_core::{make_backend, BackendConfig, BackendHandle, MonitorFrontendService};
+use fgmon_core::{BackendConfig, BackendHandle, MonitorBackend, MonitorFrontendService};
 use fgmon_ganglia::{GmetricPublisher, Gmond};
 use fgmon_sim::{DetRng, SimDuration, SimTime};
 use fgmon_types::{
-    BreakerConfig, FaultOp, FaultPlan, McastGroup, NetConfig, NodeId, OsConfig, QosPolicy,
-    RaceMode, RegionId, RetryPolicy, Scheme, ServiceSlot, TenancyConfig, TenantId,
+    BreakerConfig, ConnId, FaultOp, FaultPlan, NetConfig, NodeId, OsConfig, QosPolicy, RaceMode,
+    RegionId, RetryPolicy, Scheme, ServiceSlot, TenancyConfig, TenantId,
 };
 use fgmon_workload::{
     CommLoad, CommSink, ComputeHogs, FloatApp, LoadRamp, LockClient, LockHost, RampStep, RdmaFlood,
@@ -23,58 +22,43 @@ pub const GT_PERIOD: SimDuration = SimDuration(997_000); // ~1 ms, tick-unaligne
 
 /// Wire one monitoring pair (front-end slot ↔ back-end) for `scheme`.
 ///
-/// Adds the backend service as the *first* service of `backend` (so its
-/// region, if any, is `RegionId(0)` — the builder convention the front-end
-/// handle relies on) and returns the handle the front-end needs.
+/// Adds the backend service as the next service of `backend`, connects
+/// it to the front-end's `fe_slot` (the slot that will embed the client)
+/// and returns the handle the front-end needs. The backend answers
+/// socket requests, fallback polls and region queries on that
+/// connection, and re-advertises its region there after a restart.
 ///
-/// `fe_slot` is the front-end service slot that will embed the client.
+/// `expected_region` is the id the backend's region gets, i.e. the
+/// number of regions registered on `backend` before it (0 when it is the
+/// node's first service — the builder convention the handle relies on);
+/// for a write-push backend it is instead the ordinal of the front-end
+/// buffer it pushes into, registered one per backend in wiring order.
 fn wire_monitoring(
     b: &mut ClusterBuilder,
     scheme: Scheme,
-    mut cfg: BackendConfig,
+    cfg: BackendConfig,
     frontend: NodeId,
     fe_slot: ServiceSlot,
     backend: NodeId,
     expected_region: u32,
 ) -> BackendHandle {
-    if scheme == Scheme::RdmaWritePush {
-        // The front-end monitor registers one writable buffer per backend
-        // in wiring order; tell this backend which one is its target.
-        // Callers pass the backend's ordinal via `expected_region`.
-        cfg.push_target = Some((frontend, RegionId(expected_region)));
-    }
-    let svc = make_backend(scheme, cfg);
-    let slot = b.add_service(backend, svc);
+    let push_target = Some((frontend, RegionId(expected_region)));
+    let svc = MonitorBackend::new(scheme, BackendConfig { push_target, ..cfg });
+    let group = svc.mcast_group();
+    let slot = b.add_service(backend, Box::new(svc));
     let conn = b.connect(frontend, fe_slot, backend, slot);
-    register_backend_conn(b, backend, slot, conn);
-    if scheme == Scheme::McastPush {
-        b.join_mcast(McastGroup(0), frontend);
-        b.join_mcast(McastGroup(0), backend);
+    b.node_service_mut::<MonitorBackend>(backend, slot)
+        .expect("just added")
+        .conns
+        .push(conn);
+    if let Some(group) = group {
+        b.join_mcast(group, frontend);
+        b.join_mcast(group, backend);
     }
     BackendHandle {
         node: backend,
         conn: Some(conn),
         region: Some(RegionId(expected_region)),
-    }
-}
-
-/// Tell a just-wired backend service which connection the front-end talks
-/// over. Socket backends answer requests on it; RDMA backends use it for
-/// fallback replies and restart re-advertisements.
-fn register_backend_conn(
-    b: &mut ClusterBuilder,
-    backend: NodeId,
-    slot: ServiceSlot,
-    conn: fgmon_types::ConnId,
-) {
-    if let Some(sb) = b.node_service_mut::<SocketBackend>(backend, slot) {
-        sb.conns.push(conn);
-    }
-    if let Some(rb) = b.node_service_mut::<RdmaSyncBackend>(backend, slot) {
-        rb.conns.push(conn);
-    }
-    if let Some(rb) = b.node_service_mut::<RdmaAsyncBackend>(backend, slot) {
-        rb.conns.push(conn);
     }
 }
 
@@ -114,7 +98,6 @@ pub fn micro_latency(
         BackendConfig {
             calc_interval: poll,
             via_kernel_module: false,
-            mcast_group: McastGroup(0),
             push_target: None,
             fallback_reporter: false,
         },
@@ -182,7 +165,6 @@ pub fn float_granularity(scheme: Scheme, g: SimDuration, seed: u64) -> FloatWorl
         BackendConfig {
             calc_interval: g,
             via_kernel_module: false,
-            mcast_group: McastGroup(0),
             push_target: None,
             fallback_reporter: false,
         },
@@ -251,33 +233,27 @@ pub fn accuracy_world(
     let cfg = BackendConfig {
         calc_interval: poll,
         via_kernel_module,
-        mcast_group: McastGroup(0),
         push_target: None,
         fallback_reporter: false,
     };
     let mut handles = Vec::new();
     let mut region_counter = 0u32;
     for (i, &scheme) in Scheme::MICRO.iter().enumerate() {
-        let expected_region = if scheme.is_one_sided() {
-            let r = region_counter;
+        let mut handle = wire_monitoring(
+            &mut b,
+            scheme,
+            cfg,
+            frontend,
+            ServiceSlot(i as u16),
+            backend,
+            region_counter,
+        );
+        if scheme.is_one_sided() {
             region_counter += 1;
-            r
         } else {
-            u32::MAX // unused
-        };
-        let svc = make_backend(scheme, cfg);
-        let slot = b.add_service(backend, svc);
-        let conn = b.connect(frontend, ServiceSlot(i as u16), backend, slot);
-        register_backend_conn(&mut b, backend, slot, conn);
-        handles.push(BackendHandle {
-            node: backend,
-            conn: Some(conn),
-            region: if expected_region == u32::MAX {
-                None
-            } else {
-                Some(RegionId(expected_region))
-            },
-        });
+            handle.region = None;
+        }
+        handles.push(handle);
     }
 
     // Front-end: one poller per scheme, with series recording on.
@@ -431,7 +407,6 @@ pub fn rubis_world(cfg: &RubisWorldCfg) -> RubisWorld {
     let bcfg = BackendConfig {
         calc_interval: cfg.granularity,
         via_kernel_module: false,
-        mcast_group: McastGroup(0),
         push_target: None,
         fallback_reporter: cfg.fallback_reporter,
     };
@@ -548,8 +523,7 @@ pub fn rubis_world(cfg: &RubisWorldCfg) -> RubisWorld {
             )),
         );
         for (i, &be) in backends.iter().enumerate() {
-            let sink_slot =
-                b.add_service(be, Box::new(CommSink::new(fgmon_types::ConnId(0), true)));
+            let sink_slot = b.add_service(be, Box::new(CommSink::new(ConnId(0), true)));
             let conn = b.connect(hostile, ServiceSlot(1 + i as u16), be, sink_slot);
             b.node_service_mut::<CommSink>(be, sink_slot)
                 .expect("comm sink")
@@ -623,7 +597,6 @@ pub fn fault_compare_world_raced(
     let cfg = BackendConfig {
         calc_interval: poll,
         via_kernel_module: false,
-        mcast_group: McastGroup(0),
         push_target: None,
         fallback_reporter: false,
     };
@@ -748,7 +721,6 @@ pub fn torn_read_world(race: RaceMode, seed: u64) -> TornReadWorld {
         BackendConfig {
             calc_interval: poll,
             via_kernel_module: false,
-            mcast_group: McastGroup(0),
             push_target: None,
             fallback_reporter: false,
         },
@@ -940,14 +912,12 @@ pub fn ganglia_world(
     let dispatch_cfg = BackendConfig {
         calc_interval: base.granularity,
         via_kernel_module: false,
-        mcast_group: McastGroup(0),
         push_target: None,
         fallback_reporter: false,
     };
     let gmetric_cfg = BackendConfig {
         calc_interval: gmetric_granularity,
         via_kernel_module: false,
-        mcast_group: McastGroup(0),
         push_target: None,
         fallback_reporter: false,
     };
@@ -975,28 +945,20 @@ pub fn ganglia_world(
 
         // gmetric capture path: its RDMA region follows the dispatcher's
         // (one-sided dispatcher schemes register region 0 first).
-        let expected_region = if gmetric_scheme.is_one_sided() {
-            if base.scheme.is_one_sided() {
-                1
-            } else {
-                0
-            }
-        } else {
-            u32::MAX
-        };
-        let svc = make_backend(gmetric_scheme, gmetric_cfg);
-        let slot = b.add_service(be, svc);
-        let gconn = b.connect(frontend, ServiceSlot(1), be, slot);
-        register_backend_conn(&mut b, be, slot, gconn);
-        gmetric_handles.push(BackendHandle {
-            node: be,
-            conn: Some(gconn),
-            region: if expected_region == u32::MAX {
-                None
-            } else {
-                Some(RegionId(expected_region))
-            },
-        });
+        let region = base.scheme.is_one_sided() as u32;
+        let mut h = wire_monitoring(
+            &mut b,
+            gmetric_scheme,
+            gmetric_cfg,
+            frontend,
+            ServiceSlot(1),
+            be,
+            region,
+        );
+        if !gmetric_scheme.is_one_sided() {
+            h.region = None;
+        }
+        gmetric_handles.push(h);
 
         // gmond daemon + ganglia channel membership.
         b.add_service(be, Box::new(Gmond::new(SimDuration::from_secs(1))));
@@ -1073,7 +1035,6 @@ pub fn big_cluster(backend_count: u16, seed: u64) -> BigClusterWorld {
     let bcfg = BackendConfig {
         calc_interval: granularity,
         via_kernel_module: false,
-        mcast_group: McastGroup(0),
         push_target: None,
         fallback_reporter: false,
     };
@@ -1198,7 +1159,6 @@ pub fn noisy_neighbor_raced(
     let cfg = BackendConfig {
         calc_interval: poll,
         via_kernel_module: false,
-        mcast_group: McastGroup(0),
         push_target: None,
         fallback_reporter: false,
     };
@@ -1253,10 +1213,7 @@ pub fn noisy_neighbor_raced(
         SimDuration::from_micros(125),
     );
     let flood_slot = b.add_service(hostile, Box::new(flood));
-    let sink_slot = b.add_service(
-        backend,
-        Box::new(CommSink::new(fgmon_types::ConnId(0), true)),
-    );
+    let sink_slot = b.add_service(backend, Box::new(CommSink::new(ConnId(0), true)));
     let conn = b.connect(hostile, ServiceSlot(1), backend, sink_slot);
     b.node_service_mut::<CommSink>(backend, sink_slot)
         .expect("comm sink")
@@ -1489,7 +1446,6 @@ pub fn chaos_world(plan: FaultPlan, seed: u64, race: RaceMode) -> ChaosWorld {
     let cfg = BackendConfig {
         calc_interval: poll,
         via_kernel_module: false,
-        mcast_group: McastGroup(0),
         push_target: None,
         fallback_reporter: false,
     };

@@ -25,8 +25,8 @@ use fgmon_os::OsApi;
 use fgmon_sim::{HistogramId, Recorder, SeriesId, SimTime};
 use fgmon_types::{
     BreakerConfig, BreakerEvent, BreakerState, ChannelHealthStats, CircuitBreaker, ConnId,
-    FenceGate, FenceVerdict, LoadSnapshot, McastGroup, NodeId, Payload, RdmaResult, RecordFence,
-    RegionData, RegionId, ReplyOutcome, RetryPolicy, RetryTracker, Scheme, TimeoutAction,
+    FenceGate, FenceVerdict, LoadSnapshot, NodeId, Payload, RdmaResult, RecordFence, RegionData,
+    RegionId, ReplyOutcome, RetryPolicy, RetryTracker, Scheme, TimeoutAction,
 };
 
 /// Token namespace for this component's RDMA work requests:
@@ -152,7 +152,6 @@ pub struct MonitorClient {
     inflight: Vec<Inflight>,
     conn_to_idx: BTreeMap<ConnId, usize>,
     node_to_idx: BTreeMap<NodeId, usize>,
-    mcast_group: McastGroup,
     /// Local buffers the back-ends push into (RDMA-write-push scheme),
     /// indexed by backend; registered in [`MonitorClient::start`].
     local_regions: Vec<Option<RegionId>>,
@@ -176,8 +175,8 @@ pub struct MonitorClient {
     /// Push per-backend reported-value series into the recorder (accuracy
     /// experiments); off by default to keep large runs lean.
     pub record_series: bool,
-    /// Interned latency/staleness histogram handles (lazy, so the key set
-    /// matches per-sample formatting exactly).
+    /// Interned latency/staleness histogram handles, set by
+    /// [`MonitorClient::start`].
     lat_id: Option<HistogramId>,
     stale_id: Option<HistogramId>,
     /// Per-backend interned series handles, parallel to `backends`.
@@ -236,7 +235,6 @@ impl MonitorClient {
             inflight,
             conn_to_idx,
             node_to_idx,
-            mcast_group: McastGroup(0),
             local_regions: Vec::new(),
             policy: RetryPolicy::OFF,
             next_req: 0,
@@ -377,7 +375,7 @@ impl MonitorClient {
             }
         }
         if self.scheme == Scheme::McastPush {
-            os.subscribe_mcast(self.mcast_group);
+            os.subscribe_mcast(crate::backend::MONITOR_GROUP);
         }
         if self.scheme == Scheme::RdmaWritePush {
             self.local_regions = (0..self.backends.len())
@@ -680,34 +678,19 @@ impl MonitorClient {
         os: &mut OsApi<'_, '_>,
     ) {
         let now = os.now();
-        let label = self.scheme.label();
         let r = os.recorder();
         if let Some(sent) = sent {
-            let lat = *self
-                .lat_id
-                .get_or_insert_with(|| r.histogram_id(&format!("mon/latency/{label}")));
+            let lat = self.lat_id.expect("interned by MonitorClient::start");
             r.histogram_at(lat).record(now.since(sent).nanos());
         }
-        let stale = *self
-            .stale_id
-            .get_or_insert_with(|| r.histogram_id(&format!("mon/staleness/{label}")));
+        let stale = self.stale_id.expect("interned by MonitorClient::start");
         r.histogram_at(stale)
             .record(now.since(snap.measured_at).nanos());
         if self.record_series {
             // Fig. 5 semantics: the reply answers "what was the load when I
             // asked" — timestamp reported values at request time.
             let at = sent.unwrap_or(now);
-            let node = self.backends[idx].node;
-            let ids = *self.series_ids[idx].get_or_insert_with(|| MonSeriesIds {
-                nthreads: r.series_id(&format!("mon/{label}/{node}/nthreads")),
-                cpu_util: r.series_id(&format!("mon/{label}/{node}/cpu_util")),
-                run_queue: r.series_id(&format!("mon/{label}/{node}/run_queue")),
-                pending_irqs: r.series_id(&format!("mon/{label}/{node}/pending_irqs")),
-                pending_cpu: [0, 1]
-                    .map(|cpu| r.series_id(&format!("mon/{label}/{node}/pending_irqs_cpu{cpu}"))),
-                irq_total_cpu: [0, 1]
-                    .map(|cpu| r.series_id(&format!("mon/{label}/{node}/irq_total_cpu{cpu}"))),
-            });
+            let ids = self.series_ids[idx].expect("interned by MonitorClient::start");
             r.series_at(ids.nthreads).push(at, snap.nthreads as f64);
             r.series_at(ids.cpu_util).push(at, snap.cpu_util);
             r.series_at(ids.run_queue).push(at, snap.run_queue as f64);

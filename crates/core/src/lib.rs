@@ -5,7 +5,8 @@
 //! `Socket-Async`, `Socket-Sync`, `RDMA-Async`, `RDMA-Sync` and
 //! `e-RDMA-Sync` — plus a multicast-push extension.
 //!
-//! * [`backend`] — the back-end exporters (Figs. 1–2 of the paper).
+//! * [`backend`] — the back-end service, one row of parts per scheme
+//!   (Figs. 1–2 of the paper).
 //! * [`client`] — the front-end [`client::MonitorClient`] component.
 //! * [`frontend`] — a standalone polling service for micro-benchmarks.
 //! * [`accuracy`] — reported-vs-ground-truth analysis (Figs. 5–6).
@@ -21,8 +22,6 @@ pub mod client;
 pub mod frontend;
 
 pub use accuracy::{mean_deviation, mean_reported, scheme_quality, AccuracyMetric, SchemeQuality};
-pub use backend::{
-    make_backend, BackendConfig, McastPushBackend, RdmaAsyncBackend, RdmaSyncBackend, SocketBackend,
-};
+pub use backend::{make_backend, BackendConfig, MonitorBackend};
 pub use client::{BackendHandle, BackendView, MonitorClient, MON_TOKEN_BASE};
 pub use frontend::MonitorFrontendService;
