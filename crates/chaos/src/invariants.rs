@@ -34,6 +34,11 @@ pub const INVARIANTS: &[&str] = &[
     "lock-fifo",
     // Engine and per-node virtual time only move forward between checks.
     "time-monotone",
+    // Every RDMA op a node posted has ended exactly once (completed, or
+    // retired by a fabric loss notice) or is still pending: posted ==
+    // completed + lost + pending, and no end arrived for an op that was
+    // not pending.
+    "op-accounting",
     // With every fault window closed before the quiet tail, both
     // monitoring channels and the lock service must have made progress
     // by end of run (final check only).
@@ -205,6 +210,20 @@ impl InvariantProbe {
                 );
             }
             self.last_busy[i] = busy;
+            self.checks += 1;
+            let core = w.cluster.node(node_id).core();
+            let (s, pending) = (&core.stats, core.rdma_pending.len() as u64);
+            if s.rdma_posted != s.rdma_completed + s.rdma_lost + pending || s.rdma_unmatched > 0 {
+                self.fail(
+                    "op-accounting",
+                    now,
+                    format!(
+                        "{node_id}: RDMA ops posted {}, completed {}, lost {}, pending \
+                         {pending}, ended unmatched {}",
+                        s.rdma_posted, s.rdma_completed, s.rdma_lost, s.rdma_unmatched
+                    ),
+                );
+            }
         }
     }
 

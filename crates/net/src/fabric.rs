@@ -14,12 +14,13 @@
 //! with a small per-destination fan-out cost.
 
 use std::collections::BTreeMap;
+use std::iter::once;
 
 use fgmon_sim::{Actor, ActorId, Ctx, SimDuration, SimTime};
 use fgmon_types::{
     ConnId, FaultOp, FaultPlan, McastGroup, Msg, NetConfig, NetMsg, NodeId, NodeMsg, Payload,
-    QosPolicy, RdmaResult, ReadVerdict, ServiceSlot, SharedRaceDetector, TenancyConfig, TenantId,
-    TenantStats, TokenBucket, MAX_TENANTS,
+    QosPolicy, RdmaResult, ReadVerdict, RegionData, RegionId, ReqId, ServiceSlot,
+    SharedRaceDetector, TenancyConfig, TenantId, TenantStats, TokenBucket, MAX_TENANTS,
 };
 
 /// One registered point-to-point connection.
@@ -683,13 +684,12 @@ impl Fabric {
     fn deliver_socket(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        // `(now, seq)` of the send event — the fault-fate key.
-        (now, seq): (SimTime, u64),
         src: NodeId,
         conn: ConnId,
         size: u32,
         mut payload: Payload,
     ) {
+        let (now, seq) = (ctx.now, ctx.event_seq);
         if !self.admit_post(now, src) {
             return;
         }
@@ -743,6 +743,178 @@ impl Fabric {
             }),
         );
     }
+
+    /// End a dropped one-sided op: after the dropped leg's base latency
+    /// the initiator gets the loss notice that retires it, the reliable
+    /// connection's retry-exceeded error. Fault and contention extras
+    /// never apply, so a notice is never faster than a delivery on its
+    /// leg could have been.
+    fn notify_lost(&self, ctx: &mut Ctx<'_, Msg>, to: NodeId, req_id: ReqId, after: SimDuration) {
+        if let Some(actor) = self.actor_of(to) {
+            ctx.send_in(after, actor, Msg::Node(NodeMsg::RdmaLost { req_id }));
+        }
+    }
+
+    /// The request leg of every one-sided verb: admit the post at the
+    /// source NIC (a doorbell batch is one posted op for QoS purposes),
+    /// then route, count, draw the fault fate and deliver each frame, a
+    /// `(target, op id, arrival)` triple. A frame that is rate-limited,
+    /// unroutable or lost ends in a loss notice to `src`.
+    fn request_leg(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        src: NodeId,
+        batch: bool,
+        frames: impl Iterator<Item = (NodeId, ReqId, NodeMsg)>,
+    ) {
+        let (now, seq) = (ctx.now, ctx.event_seq);
+        let admitted = self.admit_post(now, src);
+        if admitted && batch {
+            self.stats.rdma_batch_posts += 1;
+        }
+        // Initiator post overhead + request flight.
+        let base = self.cfg.rdma_post + self.cfg.wire_latency;
+        for (dst, req_id, mut arrive) in frames {
+            if !admitted {
+                self.notify_lost(ctx, src, req_id, base);
+                continue;
+            }
+            let Some(dst_actor) = self.actor_of(dst) else {
+                self.stats.dropped += 1;
+                self.notify_lost(ctx, src, req_id, base);
+                continue;
+            };
+            let op = match &arrive {
+                NodeMsg::RdmaReadArrive { .. } => {
+                    self.stats.rdma_reads += 1;
+                    self.stats.rdma_batched_reads += u64::from(batch);
+                    FaultOp::RdmaRead
+                }
+                NodeMsg::RdmaWriteArrive { .. } => {
+                    self.stats.rdma_writes += 1;
+                    FaultOp::RdmaWrite
+                }
+                // Atomics ride the write path of the fault model: they
+                // are one-sided mutations, and the plans have no reason
+                // to distinguish them.
+                _ => {
+                    self.stats.rdma_atomics += 1;
+                    FaultOp::RdmaWrite
+                }
+            };
+            let Some(delay) = self.apply_faults(now, seq, Some(src), Some(dst), op, base) else {
+                self.notify_lost(ctx, src, req_id, base);
+                continue;
+            };
+            // Pushed snapshots are payloads in flight like any other;
+            // the producer is the writing node.
+            if let NodeMsg::RdmaWriteArrive {
+                data: RegionData::Snapshot(snap),
+                ..
+            } = &mut arrive
+            {
+                self.apply_payload_faults(now, seq, src, snap);
+            }
+            ctx.send_in(delay, dst_actor, Msg::Node(arrive));
+        }
+    }
+
+    /// The completion leg of every one-sided verb: charge the serving
+    /// NIC's contention, draw the fault fate and deliver the completion
+    /// to the initiator. A completion that is shed or lost ends in a
+    /// loss notice instead.
+    fn completion_leg(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        target: NodeId,
+        initiator: NodeId,
+        req_id: ReqId,
+        op: FaultOp,
+        mut result: RdmaResult,
+    ) {
+        let (now, seq) = (ctx.now, ctx.event_seq);
+        let Some(dst_actor) = self.actor_of(initiator) else {
+            self.stats.dropped += 1;
+            return;
+        };
+        // Target-NIC DMA read + reply flight + initiator CQ poll.
+        let base = self.cfg.nic_read + self.cfg.wire_latency + self.cfg.completion_poll;
+        // Serving this completion occupies the target NIC's QP cache:
+        // contention (thrash latency or outright shedding) is charged
+        // before the fault model sees the leg.
+        let fate = self
+            .apply_contention(now, seq, target, initiator)
+            .and_then(|extra| self.apply_faults(now, seq, None, Some(initiator), op, base + extra));
+        let Some(delay) = fate else {
+            return self.notify_lost(ctx, initiator, req_id, base);
+        };
+        // The snapshot the target NIC served is in flight now: payload
+        // faults (skew, corruption) apply to the data leg, keyed to the
+        // snapshot's *producer* (the target).
+        if let RdmaResult::ReadOk {
+            data: RegionData::Snapshot(snap),
+            ..
+        } = &mut result
+        {
+            self.apply_payload_faults(now, seq, target, snap);
+        }
+        ctx.send_in(
+            delay,
+            dst_actor,
+            Msg::Node(NodeMsg::RdmaCompletion { req_id, result }),
+        );
+    }
+
+    /// Reader-side seqlock retry: the torn data still flies back (full
+    /// return leg), the reader's version check rejects it, and a fresh
+    /// read is posted — one extra round trip plus the modeled check per
+    /// attempt. The re-armed window was stamped with this event's key; a
+    /// lost retry closes it and ends the op with a completion-leg loss
+    /// notice.
+    fn seqlock_retry(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        initiator: NodeId,
+        req_id: ReqId,
+        target: NodeId,
+        region: RegionId,
+    ) {
+        let (now, seq) = (ctx.now, ctx.event_seq);
+        self.stats.seqlock_retries += 1;
+        let completion = self.cfg.nic_read + self.cfg.wire_latency + self.cfg.completion_poll;
+        let base = completion + self.cfg.seqlock_check + self.cfg.rdma_post + self.cfg.wire_latency;
+        let fate = match self.actor_of(target) {
+            Some(actor) => self
+                .apply_faults(now, seq, None, Some(initiator), FaultOp::RdmaRead, base)
+                .map(|delay| (actor, delay)),
+            None => {
+                self.stats.dropped += 1;
+                None
+            }
+        };
+        let Some((target_actor, delay)) = fate else {
+            self.close_read_window(initiator, req_id, target, region);
+            return self.notify_lost(ctx, initiator, req_id, completion);
+        };
+        ctx.send_in(
+            delay,
+            target_actor,
+            Msg::Node(NodeMsg::RdmaReadArrive {
+                initiator,
+                region,
+                req_id,
+                posted: (now, seq),
+            }),
+        );
+    }
+
+    /// Close a re-armed shadow read window whose read will never arrive.
+    fn close_read_window(&self, initiator: NodeId, req: ReqId, target: NodeId, region: RegionId) {
+        if let Some(race) = &self.race {
+            race.borrow_mut()
+                .on_read_drop(initiator, req, target, region);
+        }
+    }
 }
 
 impl Actor<Msg> for Fabric {
@@ -754,14 +926,18 @@ impl Actor<Msg> for Fabric {
         // Fate draws are keyed by this event; restart the per-event
         // check counter (see `apply_faults`).
         self.fault_check_index = 0;
+        // The post's engine key rides along with a read; the target opens
+        // the shadow read window on arrival, reconstructing the epoch as
+        // of this key. (Lost frames never open a window.)
         let seq = ctx.event_seq;
+        let key = (now, seq);
         match msg {
             NetMsg::SocketSend {
                 src,
                 conn,
                 size,
                 payload,
-            } => self.deliver_socket(ctx, (now, seq), src, conn, size, payload),
+            } => self.deliver_socket(ctx, src, conn, size, payload),
 
             NetMsg::RdmaRead {
                 src,
@@ -769,76 +945,31 @@ impl Actor<Msg> for Fabric {
                 region,
                 req_id,
             } => {
-                if !self.admit_post(now, src) {
-                    return;
-                }
-                let Some(dst_actor) = self.actor_of(dst) else {
-                    self.stats.dropped += 1;
-                    return;
+                let arrive = NodeMsg::RdmaReadArrive {
+                    initiator: src,
+                    region,
+                    req_id,
+                    posted: key,
                 };
-                self.stats.rdma_reads += 1;
-                // Initiator post overhead + request flight.
-                let base = self.cfg.rdma_post + self.cfg.wire_latency;
-                let Some(delay) =
-                    self.apply_faults(now, seq, Some(src), Some(dst), FaultOp::RdmaRead, base)
-                else {
-                    return;
-                };
-                // The post's engine key rides along; the target opens the
-                // shadow read window on arrival, reconstructing the epoch
-                // as of this key. (Lost frames never open a window.)
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaReadArrive {
-                        initiator: src,
-                        region,
-                        req_id,
-                        posted: (now, seq),
-                    }),
-                );
+                self.request_leg(ctx, src, false, once((dst, req_id, arrive)));
             }
 
+            // One doorbell ring posts the whole batch (RDMAbox-style
+            // request merging): the initiator paid `rdma_post` once, and
+            // the simulator pays one fabric event instead of one per
+            // read. Each read then flies and is served independently,
+            // with its own fate draw.
             NetMsg::RdmaReadBatch { src, reads } => {
-                // One doorbell ring posts the whole batch (RDMAbox-style
-                // request merging): the initiator paid `rdma_post` once,
-                // and the simulator pays one fabric event instead of one
-                // per read. Each read then flies and is served
-                // independently, with its own fate draw. The doorbell
-                // ring is one posted op for QoS purposes.
-                if !self.admit_post(now, src) {
-                    return;
-                }
-                self.stats.rdma_batch_posts += 1;
-                for r in reads {
-                    let Some(dst_actor) = self.actor_of(r.dst) else {
-                        self.stats.dropped += 1;
-                        continue;
+                let frames = reads.into_iter().map(|r| {
+                    let arrive = NodeMsg::RdmaReadArrive {
+                        initiator: src,
+                        region: r.region,
+                        req_id: r.req_id,
+                        posted: key,
                     };
-                    self.stats.rdma_reads += 1;
-                    self.stats.rdma_batched_reads += 1;
-                    let base = self.cfg.rdma_post + self.cfg.wire_latency;
-                    let Some(delay) = self.apply_faults(
-                        now,
-                        seq,
-                        Some(src),
-                        Some(r.dst),
-                        FaultOp::RdmaRead,
-                        base,
-                    ) else {
-                        continue;
-                    };
-                    ctx.send_in(
-                        delay,
-                        dst_actor,
-                        Msg::Node(NodeMsg::RdmaReadArrive {
-                            initiator: src,
-                            region: r.region,
-                            req_id: r.req_id,
-                            posted: (now, seq),
-                        }),
-                    );
-                }
+                    (r.dst, r.req_id, arrive)
+                });
+                self.request_leg(ctx, src, true, frames);
             }
 
             NetMsg::RdmaWrite {
@@ -846,37 +977,15 @@ impl Actor<Msg> for Fabric {
                 dst,
                 region,
                 req_id,
-                mut data,
+                data,
             } => {
-                if !self.admit_post(now, src) {
-                    return;
-                }
-                let Some(dst_actor) = self.actor_of(dst) else {
-                    self.stats.dropped += 1;
-                    return;
+                let arrive = NodeMsg::RdmaWriteArrive {
+                    initiator: src,
+                    region,
+                    req_id,
+                    data,
                 };
-                self.stats.rdma_writes += 1;
-                let base = self.cfg.rdma_post + self.cfg.wire_latency;
-                let Some(delay) =
-                    self.apply_faults(now, seq, Some(src), Some(dst), FaultOp::RdmaWrite, base)
-                else {
-                    return;
-                };
-                // Pushed snapshots are payloads in flight like any other;
-                // the producer is the writing node.
-                if let fgmon_types::RegionData::Snapshot(snap) = &mut data {
-                    self.apply_payload_faults(now, seq, src, snap);
-                }
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaWriteArrive {
-                        initiator: src,
-                        region,
-                        req_id,
-                        data,
-                    }),
-                );
+                self.request_leg(ctx, src, false, once((dst, req_id, arrive)));
             }
 
             NetMsg::RdmaCas {
@@ -888,50 +997,25 @@ impl Actor<Msg> for Fabric {
                 expected,
                 swap,
             } => {
-                if !self.admit_post(now, src) {
-                    return;
-                }
-                let Some(dst_actor) = self.actor_of(dst) else {
-                    self.stats.dropped += 1;
-                    return;
+                let arrive = NodeMsg::RdmaCasArrive {
+                    initiator: src,
+                    region,
+                    req_id,
+                    word,
+                    expected,
+                    swap,
                 };
-                self.stats.rdma_atomics += 1;
-                // Atomics ride the write path of the fault model: same
-                // post + request-flight cost, same `RdmaWrite` fault op
-                // (they are one-sided mutations, and the plans have no
-                // reason to distinguish them).
-                let base = self.cfg.rdma_post + self.cfg.wire_latency;
-                let Some(delay) =
-                    self.apply_faults(now, seq, Some(src), Some(dst), FaultOp::RdmaWrite, base)
-                else {
-                    return;
-                };
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaCasArrive {
-                        initiator: src,
-                        region,
-                        req_id,
-                        word,
-                        expected,
-                        swap,
-                    }),
-                );
+                self.request_leg(ctx, src, false, once((dst, req_id, arrive)));
             }
 
             NetMsg::RdmaReadData {
                 initiator,
                 req_id,
-                mut result,
+                result,
                 target,
                 region,
                 posted: _,
             } => {
-                let Some(dst_actor) = self.actor_of(initiator) else {
-                    self.stats.dropped += 1;
-                    return;
-                };
                 if matches!(result, RdmaResult::RegionInvalidated) {
                     self.stats.region_invalidated += 1;
                 }
@@ -941,103 +1025,27 @@ impl Actor<Msg> for Fabric {
                 // it runs on the target's shard — the detector state for
                 // (target, region) is only ever touched from there.
                 let verdict = match &self.race {
-                    Some(race) => race.borrow_mut().on_read_complete(
-                        initiator,
-                        req_id,
-                        target,
-                        region,
-                        (now, seq),
-                    ),
+                    Some(race) => race
+                        .borrow_mut()
+                        .on_read_complete(initiator, req_id, target, region, key),
                     None => ReadVerdict::Clean,
                 };
-                // A version-check retry only makes sense on data that was
-                // actually served: error completions (RegionInvalidated,
-                // AccessDenied) carry no record to re-read, so they close
-                // their re-armed window and fly back as-is.
-                if !matches!(result, RdmaResult::ReadOk { .. }) {
-                    if matches!(verdict, ReadVerdict::Retry { .. }) {
-                        if let Some(race) = &self.race {
-                            race.borrow_mut()
-                                .on_read_drop(initiator, req_id, target, region);
-                        }
+                match verdict {
+                    ReadVerdict::Retry { .. } if matches!(result, RdmaResult::ReadOk { .. }) => {
+                        return self.seqlock_retry(ctx, initiator, req_id, target, region);
                     }
-                } else if let ReadVerdict::Retry { .. } = verdict {
-                    self.stats.seqlock_retries += 1;
-                    let Some(target_actor) = self.actor_of(target) else {
-                        self.stats.dropped += 1;
-                        return;
-                    };
-                    // Reader-side seqlock retry: the torn data still flies
-                    // back (full return leg), the reader's version check
-                    // rejects it, and a fresh read is posted — one extra
-                    // round trip plus the modeled check per attempt. The
-                    // re-armed window was stamped with this event's key.
-                    let base = self.cfg.nic_read
-                        + self.cfg.wire_latency
-                        + self.cfg.completion_poll
-                        + self.cfg.seqlock_check
-                        + self.cfg.rdma_post
-                        + self.cfg.wire_latency;
-                    match self.apply_faults(
-                        now,
-                        seq,
-                        None,
-                        Some(initiator),
-                        FaultOp::RdmaRead,
-                        base,
-                    ) {
-                        Some(delay) => ctx.send_in(
-                            delay,
-                            target_actor,
-                            Msg::Node(NodeMsg::RdmaReadArrive {
-                                initiator,
-                                region,
-                                req_id,
-                                posted: (now, seq),
-                            }),
-                        ),
-                        None => {
-                            // The retry was lost: close the re-armed window.
-                            if let Some(race) = &self.race {
-                                race.borrow_mut()
-                                    .on_read_drop(initiator, req_id, target, region);
-                            }
-                        }
+                    // A version-check retry only makes sense on data that
+                    // was actually served: error completions
+                    // (RegionInvalidated, AccessDenied) carry no record to
+                    // re-read, so they close their re-armed window and fly
+                    // back as-is.
+                    ReadVerdict::Retry { .. } => {
+                        self.close_read_window(initiator, req_id, target, region)
                     }
-                    return;
+                    ReadVerdict::Torn => self.stats.torn_reads += 1,
+                    ReadVerdict::Clean => {}
                 }
-                if verdict == ReadVerdict::Torn {
-                    self.stats.torn_reads += 1;
-                }
-                // Serving this completion occupies the target NIC's QP
-                // cache: charge contention (thrash latency or outright
-                // shedding) before the fault model sees the leg.
-                let Some(extra) = self.apply_contention(now, seq, target, initiator) else {
-                    return;
-                };
-                // Target-NIC DMA read + reply flight + initiator CQ poll.
-                let base =
-                    self.cfg.nic_read + self.cfg.wire_latency + self.cfg.completion_poll + extra;
-                let Some(delay) =
-                    self.apply_faults(now, seq, None, Some(initiator), FaultOp::RdmaRead, base)
-                else {
-                    return;
-                };
-                // The snapshot the target NIC served is in flight now:
-                // payload faults (skew, corruption) apply to the data
-                // leg, keyed to the snapshot's *producer* (the target).
-                if let RdmaResult::ReadOk {
-                    data: fgmon_types::RegionData::Snapshot(snap),
-                    ..
-                } = &mut result
-                {
-                    self.apply_payload_faults(now, seq, target, snap);
-                }
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaCompletion { req_id, result }),
-                );
+                self.completion_leg(ctx, target, initiator, req_id, FaultOp::RdmaRead, result);
             }
 
             NetMsg::RdmaWriteAck {
@@ -1045,29 +1053,7 @@ impl Actor<Msg> for Fabric {
                 req_id,
                 result,
                 target,
-            } => {
-                let Some(dst_actor) = self.actor_of(initiator) else {
-                    self.stats.dropped += 1;
-                    return;
-                };
-                // Write and CAS acks occupy the serving NIC's QP cache
-                // exactly like read completions do.
-                let Some(extra) = self.apply_contention(now, seq, target, initiator) else {
-                    return;
-                };
-                let base =
-                    self.cfg.nic_read + self.cfg.wire_latency + self.cfg.completion_poll + extra;
-                let Some(delay) =
-                    self.apply_faults(now, seq, None, Some(initiator), FaultOp::RdmaWrite, base)
-                else {
-                    return;
-                };
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaCompletion { req_id, result }),
-                );
-            }
+            } => self.completion_leg(ctx, target, initiator, req_id, FaultOp::RdmaWrite, result),
 
             NetMsg::McastSend {
                 src,
@@ -1132,6 +1118,8 @@ impl Actor<Msg> for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgmon_sim::Engine;
+    use fgmon_types::{BatchedRead, RaceDetector, RaceMode};
 
     #[test]
     fn conn_registry_roundtrip() {
@@ -1679,5 +1667,228 @@ mod tests {
         let mut quiet = Fabric::new(NetConfig::default(), vec![]);
         assert_eq!(quiet.duplicate_fate(SimTime(50), 0), None);
         assert_eq!(quiet.fault_check_index, 0);
+    }
+
+    /// A node stand-in that logs what the fabric delivers to it: arrival
+    /// time, and the op id when the delivery is a loss notice.
+    struct Sink(Vec<(SimTime, Option<ReqId>)>);
+
+    impl Actor<Msg> for Sink {
+        fn handle(&mut self, now: SimTime, msg: Msg, _: &mut Ctx<'_, Msg>) {
+            let lost = match msg {
+                Msg::Node(NodeMsg::RdmaLost { req_id }) => Some(req_id),
+                _ => None,
+            };
+            self.0.push((now, lost));
+        }
+    }
+
+    type Deliveries = [Vec<(SimTime, Option<ReqId>)>; 3];
+
+    /// Hand one event to a fabric over three sink nodes (node 0, the
+    /// initiator, on tenant 1) and return what each node received, with
+    /// the fabric's counters.
+    fn deliveries(setup: fn(&mut Fabric), msg: NetMsg) -> (Deliveries, FabricStats) {
+        let mut eng: Engine<Msg> = Engine::new();
+        let fabric = eng.reserve_actor();
+        let nodes: Vec<ActorId> = (0..3)
+            .map(|_| eng.add_actor(Box::new(Sink(Vec::new()))))
+            .collect();
+        let mut f = Fabric::new(NetConfig::default(), nodes.clone());
+        f.set_node_tenant(NodeId(0), TenantId(1));
+        setup(&mut f);
+        eng.install(fabric, Box::new(f));
+        eng.schedule(SimTime::ZERO, fabric, Msg::Net(msg));
+        eng.run_for(SimDuration::from_millis(1));
+        let sink = |i: usize| eng.actor::<Sink>(nodes[i]).expect("sink").0.clone();
+        let stats = eng.actor::<Fabric>(fabric).expect("fabric").stats;
+        ([sink(0), sink(1), sink(2)], stats)
+    }
+
+    fn read(dst: u16, req: u64) -> NetMsg {
+        NetMsg::RdmaRead {
+            src: NodeId(0),
+            dst: NodeId(dst),
+            region: RegionId(0),
+            req_id: ReqId(req),
+        }
+    }
+
+    fn read_data(result: RdmaResult) -> NetMsg {
+        NetMsg::RdmaReadData {
+            initiator: NodeId(0),
+            req_id: ReqId(7),
+            result,
+            target: NodeId(1),
+            region: RegionId(0),
+            posted: (SimTime::ZERO, 0),
+        }
+    }
+
+    fn read_ok() -> RdmaResult {
+        RdmaResult::ReadOk {
+            data: RegionData::Raw(0),
+            fence: fgmon_types::RecordFence::default(),
+        }
+    }
+
+    /// Rate limit of one op per window, already spent by node 0.
+    fn spent_bucket(f: &mut Fabric) {
+        f.set_tenancy(TenancyConfig::with_qos(QosPolicy::RateLimit {
+            ops_per_window: 1,
+            window: SimDuration::from_millis(1),
+        }));
+        assert!(f.admit_post(SimTime::ZERO, NodeId(0)));
+    }
+
+    fn lose_everything(f: &mut Fabric) {
+        f.set_fault_plan(FaultPlan::new(1).lossy_all(1.0));
+        f.add_conn(NodeId(0), ServiceSlot(0), NodeId(1), ServiceSlot(0));
+        f.join_mcast(McastGroup(0), NodeId(1));
+        f.join_mcast(McastGroup(0), NodeId(2));
+    }
+
+    /// Every dropped one-sided op ends in exactly one loss notice to its
+    /// initiator, at the base latency of the leg that dropped it; drops
+    /// of two-sided and multicast frames, and served ops, send none.
+    #[test]
+    fn every_dropped_rdma_op_ends_in_one_loss_notice() {
+        let cfg = NetConfig::default();
+        let request = SimTime::ZERO + cfg.rdma_post + cfg.wire_latency;
+        let completion = SimTime::ZERO + cfg.nic_read + cfg.wire_latency + cfg.completion_poll;
+        let lost = |at: SimTime, req: u64| (at, Some(ReqId(req)));
+        let none = Vec::new;
+        type Row = (&'static str, fn(&mut Fabric), NetMsg, Deliveries);
+        let rows: Vec<Row> = vec![
+            (
+                "rate-limited read",
+                spent_bucket,
+                read(1, 7),
+                [vec![lost(request, 7)], none(), none()],
+            ),
+            (
+                "rate-limited batch",
+                spent_bucket,
+                NetMsg::RdmaReadBatch {
+                    src: NodeId(0),
+                    reads: [(1, 7), (2, 8), (1, 9)]
+                        .map(|(dst, req)| BatchedRead {
+                            dst: NodeId(dst),
+                            region: RegionId(0),
+                            req_id: ReqId(req),
+                        })
+                        .to_vec(),
+                },
+                [
+                    vec![lost(request, 7), lost(request, 8), lost(request, 9)],
+                    none(),
+                    none(),
+                ],
+            ),
+            (
+                "unknown target",
+                |_| {},
+                read(9, 7),
+                [vec![lost(request, 7)], none(), none()],
+            ),
+            (
+                "request-leg fault loss",
+                lose_everything,
+                NetMsg::RdmaCas {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    region: RegionId(0),
+                    req_id: ReqId(7),
+                    word: 0,
+                    expected: 0,
+                    swap: 1,
+                },
+                [vec![lost(request, 7)], none(), none()],
+            ),
+            (
+                "completion-leg fault loss",
+                lose_everything,
+                read_data(read_ok()),
+                [vec![lost(completion, 7)], none(), none()],
+            ),
+            (
+                "lost seqlock retry",
+                |f| {
+                    // A host write lands inside the read's window, so the
+                    // version check fails and the retry is lost.
+                    let race = RaceDetector::new_shared(RaceMode::Seqlock);
+                    race.borrow_mut().on_read_arrive(
+                        NodeId(0),
+                        ReqId(7),
+                        NodeId(1),
+                        RegionId(0),
+                        (SimTime::ZERO, 0),
+                    );
+                    race.borrow_mut()
+                        .note_host_write(NodeId(1), RegionId(0), SimTime::ZERO, 1);
+                    f.set_race_detector(race);
+                    lose_everything(f);
+                },
+                read_data(read_ok()),
+                [vec![lost(completion, 7)], none(), none()],
+            ),
+            (
+                "contention shed",
+                |f| {
+                    let mut tc = TenancyConfig::default();
+                    tc.contention.qp_cache_slots = 0;
+                    tc.contention.overload_slots = 0;
+                    tc.contention.overload_drop = 1.0;
+                    f.set_tenancy(tc);
+                },
+                NetMsg::RdmaWriteAck {
+                    initiator: NodeId(0),
+                    req_id: ReqId(7),
+                    result: RdmaResult::WriteOk,
+                    target: NodeId(1),
+                },
+                [vec![lost(completion, 7)], none(), none()],
+            ),
+            (
+                "socket loss",
+                lose_everything,
+                NetMsg::SocketSend {
+                    src: NodeId(0),
+                    conn: ConnId(0),
+                    size: 64,
+                    payload: Payload::Opaque { tag: 0 },
+                },
+                [none(), none(), none()],
+            ),
+            (
+                "multicast loss",
+                lose_everything,
+                NetMsg::McastSend {
+                    src: NodeId(0),
+                    group: McastGroup(0),
+                    size: 64,
+                    payload: std::sync::Arc::new(Payload::Opaque { tag: 0 }),
+                },
+                [none(), none(), none()],
+            ),
+            (
+                "served read",
+                |_| {},
+                read(1, 7),
+                [none(), vec![(request, None)], none()],
+            ),
+            (
+                "served completion",
+                |_| {},
+                read_data(read_ok()),
+                [vec![(completion, None)], none(), none()],
+            ),
+        ];
+        for (name, setup, msg, want) in rows {
+            let (got, stats) = deliveries(setup, msg);
+            assert_eq!(got, want, "{name}");
+            let retried = name == "lost seqlock retry";
+            assert_eq!(stats.seqlock_retries, u64::from(retried), "{name}");
+        }
     }
 }

@@ -112,9 +112,13 @@ pub struct OsCore {
     /// to `regions` (empty for every other kind).
     atomic_words: Vec<Vec<u64>>,
     /// Outstanding RDMA work requests this node initiated, as
-    /// `(req_id, owner, token)` rows. A handful are ever in flight, so a
-    /// linear-scanned `Vec` beats map node churn on the completion hot
-    /// path (and retains its capacity across requests); iteration order is
+    /// `(req_id, owner, token)` rows. Every posted op ends in exactly one
+    /// completion or fabric loss notice, which retires its row, so the
+    /// table holds only the ops in flight: a handful, however fast a
+    /// tenant posts or how many of its posts the fabric drops. A
+    /// linear-scanned `Vec` therefore beats a slab or map keyed by
+    /// request id on the completion hot path (no index to keep, and it
+    /// retains its capacity across requests); iteration order is
     /// insertion order, which is deterministic.
     pub rdma_pending: Vec<(u64, ServiceSlot, u64)>,
     next_req: u64,
@@ -396,14 +400,38 @@ impl OsCore {
         let id = self.next_req;
         self.next_req += 1;
         self.rdma_pending.push((id, slot, token));
+        self.stats.rdma_posted += 1;
         ReqId(id)
     }
 
-    /// Retire an outstanding RDMA work request, returning its owner and
-    /// completion token. `swap_remove` keeps this O(1); order is
-    /// irrelevant because the table is only ever probed by request id.
+    /// Retire an outstanding RDMA work request that completed, returning
+    /// its owner and completion token.
     pub fn take_rdma_pending(&mut self, req: u64) -> Option<(ServiceSlot, u64)> {
-        let pos = self.rdma_pending.iter().position(|&(id, _, _)| id == req)?;
+        let taken = self.retire_rdma(req);
+        if taken.is_some() {
+            self.stats.rdma_completed += 1;
+        }
+        taken
+    }
+
+    /// Retire an outstanding RDMA work request the fabric dropped. The
+    /// owning service is not told: its own timeout models the
+    /// retry-exceeded error, so loss notices change no service's
+    /// behaviour.
+    pub fn lose_rdma_pending(&mut self, req: u64) {
+        if self.retire_rdma(req).is_some() {
+            self.stats.rdma_lost += 1;
+        }
+    }
+
+    /// Remove a row by request id, counting an id that is not pending
+    /// as unmatched. `swap_remove` skips shifting the tail; order is
+    /// irrelevant because the table is only ever probed by request id.
+    fn retire_rdma(&mut self, req: u64) -> Option<(ServiceSlot, u64)> {
+        let Some(pos) = self.rdma_pending.iter().position(|&(id, _, _)| id == req) else {
+            self.stats.rdma_unmatched += 1;
+            return None;
+        };
         let (_, slot, token) = self.rdma_pending.swap_remove(pos);
         Some((slot, token))
     }
@@ -610,6 +638,21 @@ mod tests {
         assert_eq!(c.take_rdma_pending(0), Some((ServiceSlot(3), 99)));
         assert_eq!(c.take_rdma_pending(0), None);
         assert_eq!(c.take_rdma_pending(1), Some((ServiceSlot(3), 100)));
+        // A loss notice retires its row too; a second end is unmatched.
+        c.alloc_req(ServiceSlot(3), 101);
+        c.lose_rdma_pending(2);
+        c.lose_rdma_pending(2);
+        assert!(c.rdma_pending.is_empty());
+        let s = &c.stats;
+        assert_eq!(
+            (
+                s.rdma_posted,
+                s.rdma_completed,
+                s.rdma_lost,
+                s.rdma_unmatched
+            ),
+            (3, 2, 1, 2)
+        );
     }
 
     #[test]

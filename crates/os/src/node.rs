@@ -864,6 +864,7 @@ impl Actor<Msg> for NodeActor {
             NodeMsg::RdmaCompletion { req_id, result } => {
                 self.on_rdma_completion(ctx, req_id, result)
             }
+            NodeMsg::RdmaLost { req_id } => self.core.lose_rdma_pending(req_id.0),
             NodeMsg::GroundTruthTick { period_nanos } => {
                 self.record_ground_truth(now, ctx, period_nanos)
             }

@@ -154,6 +154,16 @@ pub struct KernelStats {
     pub active_conns: u32,
     /// NIC receive+transmit meter.
     pub net: RateMeter,
+    /// RDMA work requests this node posted. Each ends exactly once, so
+    /// `rdma_posted == rdma_completed + rdma_lost + rdma_pending.len()`.
+    pub rdma_posted: u64,
+    /// Posted work requests retired by a completion.
+    pub rdma_completed: u64,
+    /// Posted work requests retired by a fabric loss notice.
+    pub rdma_lost: u64,
+    /// Completions or loss notices whose request id was not pending
+    /// (an op that ended twice); zero in a sound run.
+    pub rdma_unmatched: u64,
 }
 
 impl KernelStats {
@@ -163,6 +173,10 @@ impl KernelStats {
             mem_used_kb: 64 * 1024, // kernel + base system footprint
             active_conns: 0,
             net: RateMeter::new(SimDuration::from_millis(200)),
+            rdma_posted: 0,
+            rdma_completed: 0,
+            rdma_lost: 0,
+            rdma_unmatched: 0,
         }
     }
 }

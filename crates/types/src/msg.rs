@@ -121,6 +121,11 @@ pub enum NodeMsg {
     },
     /// An RDMA work request this node posted has completed.
     RdmaCompletion { req_id: ReqId, result: RdmaResult },
+    /// An RDMA work request this node posted was dropped by the fabric
+    /// (rate-limited, unroutable, lost to a fault, or shed by an
+    /// overloaded NIC): the reliable-connection transport's
+    /// retry-exceeded error, so every posted op ends exactly once.
+    RdmaLost { req_id: ReqId },
     /// A hardware-multicast frame reached this node's NIC. The body is
     /// shared with every other recipient of the same transmission.
     McastDeliver {

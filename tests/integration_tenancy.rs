@@ -22,7 +22,7 @@ use fgmon_cluster::{
 };
 use fgmon_core::{mean_deviation, scheme_quality, AccuracyMetric};
 use fgmon_sim::SimDuration;
-use fgmon_types::{QosPolicy, RaceMode, Scheme, TenantStats};
+use fgmon_types::{NodeId, QosPolicy, RaceMode, Scheme, TenantStats};
 use fgmon_workload::{LockClient, LockHost};
 
 const RUN: SimDuration = SimDuration(2_000_000_000);
@@ -178,6 +178,47 @@ fn rate_limit_qos_restores_both_schemes() {
     );
     assert_eq!(infra.thrashed + hostile.thrashed, 0, "thrash survived QoS");
     assert_eq!(infra.contention_dropped, 0, "monitoring still shed");
+}
+
+/// Event count of the rate-limited flood world below (seed 11, one
+/// virtual second) before the fabric sent loss notices: every event of
+/// that run recurs unchanged, and the notices are the only ones added.
+/// The same under strict race checking, which never perturbs a run.
+const FLOOD_EVENTS_WITHOUT_NOTICES: u64 = 257_016;
+
+/// Every op the rate-limited hostile flood posts ends exactly once, in a
+/// completion or in the fabric's loss notice, so no node's pending-op
+/// table grows with the flood: the hostile node's used to hold every
+/// rate-limited read it ever posted (75267 after one virtual second).
+/// What may stay pending is the work in flight: the flood posts 12 reads
+/// at each 125 µs tick, one of which falls on the final instant, and
+/// the monitors keep a few reads out.
+#[test]
+fn hostile_flood_leaves_no_rdma_op_pending() {
+    let mut w = noisy_neighbor_raced(NOISY_RATE_LIMIT, true, SEEDS[0], RaceMode::from_env());
+    w.cluster.run_for(SimDuration(1_000_000_000));
+    assert!(w.cluster.fabric_stats().tenants[1].rate_limited > 10_000);
+    let mut lost = 0;
+    for i in 0..w.cluster.node_count() {
+        let core = w.cluster.node(NodeId(i as u16)).core();
+        let (pending, s) = (core.rdma_pending.len(), &core.stats);
+        assert!(pending <= 16, "node {i}: {pending} RDMA ops pending");
+        assert_eq!(
+            s.rdma_posted,
+            s.rdma_completed + s.rdma_lost + pending as u64,
+            "node {i}: a posted op neither ended nor is pending"
+        );
+        assert_eq!(s.rdma_unmatched, 0, "node {i}: an op ended twice");
+        lost += s.rdma_lost;
+    }
+    assert!(
+        lost > 10_000,
+        "the flood's rate-limited reads end in notices"
+    );
+    assert_eq!(
+        w.cluster.eng.events_processed(),
+        FLOOD_EVENTS_WITHOUT_NOTICES + lost
+    );
 }
 
 /// The prioritized monitoring QP class exempts only the infrastructure

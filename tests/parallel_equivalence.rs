@@ -160,11 +160,20 @@ fn big_cluster_with_batched_doorbells_is_bitwise_identical() {
 #[test]
 fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
     use fgmon_cluster::scenarios::NOISY_RATE_LIMIT;
-    use fgmon_types::QosPolicy;
-    type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
+    use fgmon_types::{NodeId, QosPolicy};
+    type Fp = (
+        FabricStats,
+        RaceReport,
+        u64,
+        Vec<HistRow>,
+        Vec<(u64, usize)>,
+    );
     // One virtual second, run in `segments` equal `run_parallel` calls:
     // per-node QoS state (token buckets, QP-cache pressure) must carry
-    // over from one segment's shard replicas to the next.
+    // over from one segment's shard replicas to the next. Each node's
+    // lost-op count and pending-op table are compared too: completion-leg
+    // loss notices cross shards, so the loss path is under the same
+    // bitwise contract.
     let fingerprint = |qos: QosPolicy, segments: u64, seed: u64, threads: usize| -> Fp {
         let mut w = fgmon_cluster::noisy_neighbor_raced(qos, true, seed, RaceMode::Strict);
         for _ in 0..segments {
@@ -179,6 +188,12 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
             w.cluster.race_report(),
             w.cluster.eng.events_processed(),
             histograms(&w.cluster),
+            (0..w.cluster.node_count())
+                .map(|i| {
+                    let core = w.cluster.node(NodeId(i as u16)).core();
+                    (core.stats.rdma_lost, core.rdma_pending.len())
+                })
+                .collect(),
         )
     };
     for seed in SEEDS {
@@ -188,6 +203,10 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
             assert!(
                 hostile.thrashed + hostile.rate_limited > 0,
                 "the hostile tenant must thrash or be rate-limited (seed {seed}, {qos:?})"
+            );
+            assert!(
+                sequential.4.iter().any(|&(lost, _)| lost > 0),
+                "the fingerprint must cover lost ops (seed {seed}, {qos:?})"
             );
             for threads in THREADS {
                 let parallel = fingerprint(qos, segments, seed, threads);
